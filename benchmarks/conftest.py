@@ -2,8 +2,9 @@
 
 Every benchmark module reproduces one table or figure of the paper.  The
 measured rows are printed to stdout (visible with ``pytest -s`` or in the
-captured output) and written as JSON under ``benchmarks/results/`` so the
-numbers recorded in EXPERIMENTS.md can be regenerated.
+captured output) and written as JSON under the git-ignored
+``benchmarks/out/``, so a test run never rewrites the tracked reference
+results in ``benchmarks/results/``.
 """
 
 import json
@@ -11,13 +12,13 @@ from pathlib import Path
 
 import pytest
 
-RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent / "out"
 
 
 def save_result(name: str, payload) -> None:
-    """Persist a benchmark's measured rows as JSON for EXPERIMENTS.md."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with open(RESULTS_DIR / f"{name}.json", "w") as handle:
+    """Persist a benchmark's measured rows as JSON under ``OUT_DIR``."""
+    OUT_DIR.mkdir(exist_ok=True)
+    with open(OUT_DIR / f"{name}.json", "w") as handle:
         json.dump(payload, handle, indent=2, default=float)
 
 

@@ -15,8 +15,8 @@ claims:
    assertion is skipped there — the same gating idiom as
    ``test_parallel_runtime``.
 
-Results are persisted as ``benchmarks/results/backend_engine.json`` so
-CI tracks the trajectory across hosts.
+Results are written to the git-ignored ``benchmarks/out/backend_engine.json``;
+``repro bench --backend`` writes the tracked ``benchmarks/results/`` copy.
 """
 
 import os

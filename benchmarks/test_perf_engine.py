@@ -18,8 +18,8 @@ forwards in a fresh process, where each large temp is an mmap
 round-trip), so the honest remaining int8 margin is the arithmetic
 one (LUT GELU, folded dequant, max-free softmax) — ~1.0-1.15x here,
 since the int8 GEMM is realised as float32 sgemm on this substrate.
-Results are persisted as ``benchmarks/results/perf_engine.json`` so CI
-tracks the trajectory.
+Results are written to the git-ignored ``benchmarks/out/perf_engine.json``;
+``repro bench`` writes the tracked ``benchmarks/results/`` copy CI uploads.
 """
 
 import pytest

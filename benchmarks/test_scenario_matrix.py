@@ -30,6 +30,7 @@ from repro.scenarios import (
 )
 
 RESULTS_DIR = Path(__file__).parent / "results"
+OUT_DIR = Path(__file__).parent / "out"
 
 ROW_KEYS = {"scenario", "category", "param", "severity", "seed",
             "accuracy", "retention", "capture_snr_db", "description",
@@ -50,7 +51,8 @@ def quick_payload(shared_store):
 
 @pytest.mark.benchmark(group="scenarios")
 def test_scenario_matrix_quick_suite(benchmark, quick_payload, shared_store):
-    """Regenerate scenario_matrix.json and gate the degradation report."""
+    """Regenerate scenario_matrix.json (under benchmarks/out/) and gate
+    the degradation report."""
 
     def rerun():
         # Second pass over the shared store: pure cache hits, which is
@@ -61,7 +63,7 @@ def test_scenario_matrix_quick_suite(benchmark, quick_payload, shared_store):
     payload = benchmark.pedantic(rerun, rounds=1, iterations=1)
     assert payload == quick_payload
     print("\n" + format_scenario_table(payload))
-    write_scenario_matrix(payload, RESULTS_DIR / "scenario_matrix.json")
+    write_scenario_matrix(payload, OUT_DIR / "scenario_matrix.json")
 
     # -- schema ---------------------------------------------------------
     assert payload["suite"] == "quick"

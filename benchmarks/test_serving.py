@@ -5,10 +5,12 @@ into batched, BLAS-friendly forward passes, so the gate is the point:
 micro-batched serving must beat the sequential single-clip reference by
 at least 1.5x throughput on a Table I model, while predicting *exactly*
 the same labels (identical argmax) through the coalesced path.  The
-measured latency/throughput rows are persisted as
-``benchmarks/results/serving_bench.json`` — the serving baseline CI
-tracks per PR, alongside ``perf_engine.json``.
+measured latency/throughput rows are written to the git-ignored
+``benchmarks/out/serving_bench.json``; ``repro serve`` writes the
+tracked ``benchmarks/results/serving_bench.json`` baseline.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.serving import benchmark_serving, write_serving_results
 
 SPEEDUP_THRESHOLD = 1.5
 MODELS = ("snappix_s", "snappix_b")
+OUT_PATH = Path(__file__).parent / "out" / "serving_bench.json"
 
 
 def _run_profile(seed: int = 0):
@@ -45,7 +48,7 @@ def test_micro_batched_serving_beats_sequential(benchmark, record_rows):
         payload = _run_profile(seed=0)
     record_rows("serving_microbatch", "Micro-batched serving vs sequential",
                 payload["rows"])
-    write_serving_results(payload)
+    write_serving_results(payload, OUT_PATH)
 
     # Correctness first: the coalesced path must be decision-identical
     # to sequential single-clip no_grad inference in every configuration.

@@ -15,9 +15,9 @@ results or fattening the tail, so the gates measure exactly that:
   traffic is shed by policy before any batched request is refused by
   queue-full backpressure.
 
-The full matrix payload is persisted as
-``benchmarks/results/serving_load.json`` — the fleet baseline CI
-uploads per PR, alongside ``serving_bench.json``.
+The full matrix payload is written to the git-ignored
+``benchmarks/out/serving_load.json``; ``repro serve --load`` writes the
+tracked ``benchmarks/results/serving_load.json`` fleet baseline.
 """
 
 import os
@@ -33,7 +33,7 @@ from repro.serving import (
 
 SCALING_THRESHOLD = 1.7
 TAIL_RATIO_THRESHOLD = 1.5
-RESULTS_PATH = Path(__file__).parent / "results" / "serving_load.json"
+OUT_PATH = Path(__file__).parent / "out" / "serving_load.json"
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_load_matrix_correct_and_admitted(load_payload, record_rows):
     """Every matrix row is decision-correct; the artifact is persisted."""
     rows = load_payload["lane_scaling"] + load_payload["scenarios"]
     record_rows("serving_fleet", "Serving fleet load matrix", rows)
-    write_load_results(load_payload, RESULTS_PATH)
+    write_load_results(load_payload, OUT_PATH)
 
     # Correctness first: no lane width or arrival profile may diverge
     # from the sequential reference, and the load generator sizes every

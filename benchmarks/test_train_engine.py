@@ -7,8 +7,8 @@ and gates on the float32 engine delivering at least a 1.5x steps/sec
 speedup on at least two models — with statistically equivalent loss
 trajectories and identical post-training eval decisions, so the speed
 never comes at the cost of a different optimisation path.  Results are
-persisted as ``benchmarks/results/train_engine.json`` so CI tracks the
-trajectory.
+written to the git-ignored ``benchmarks/out/train_engine.json``;
+``repro bench --train`` writes the tracked ``benchmarks/results/`` copy.
 """
 
 import pytest

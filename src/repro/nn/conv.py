@@ -276,7 +276,27 @@ class AvgPool2d(Module):
 
 
 class MaxPool3d(Module):
-    """Max pooling over non-overlapping 3-D windows (B, C, T, H, W)."""
+    """Max pooling over non-overlapping 3-D windows (B, C, T, H, W).
+
+    A running maximum over the ``kt*kh*kw`` window taps: tap ``(i, j, k)``
+    is the strided view ``x[:, :, i::kt, j::kh, k::kw]`` cut to whole
+    windows, the first tap is copied into the output and every other tap
+    is folded in with ``np.maximum(out, tap, out=out)``.  numpy reduces
+    over the strided axes of an 8-D window view far more slowly.
+    Trailing frames, rows and columns that do not fill a window are
+    dropped and get zero gradient.
+
+    Inference and training share this path.  The backward splits the
+    gradient evenly over tied maxima, like :meth:`Tensor.max`: per tap
+    ``mask = (tap == out)``, ``count = max(sum of masks, 1)`` and the tap
+    receives ``(mask / count) * grad``.
+
+    The first tap is copied with ``order="K"`` so the output keeps the
+    input's memory layout (the training Conv3d output is channels-last).
+    Downstream reductions such as :class:`GlobalAveragePool` sum in a
+    layout-dependent order, so a C-ordered copy would move the logits
+    and gradients in the last bits.
+    """
 
     def __init__(self, kernel_size):
         super().__init__()
@@ -284,11 +304,30 @@ class MaxPool3d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         kt, kh, kw = self.kernel_size
-        batch, channels, frames, height, width = x.shape
-        out_t, out_h, out_w = frames // kt, height // kh, width // kw
-        view = x[:, :, :out_t * kt, :out_h * kh, :out_w * kw]
-        view = view.reshape(batch, channels, out_t, kt, out_h, kh, out_w, kw)
-        return view.max(axis=(3, 5, 7))
+        x_data = x.data
+        _, _, frames, height, width = x_data.shape
+        stop_t, stop_h, stop_w = (frames - frames % kt, height - height % kh,
+                                  width - width % kw)
+        taps = [(slice(None), slice(None), slice(i, stop_t, kt),
+                 slice(j, stop_h, kh), slice(k, stop_w, kw))
+                for i in range(kt) for j in range(kh) for k in range(kw)]
+        out_data = x_data[taps[0]].copy(order="K")
+        for tap in taps[1:]:
+            np.maximum(out_data, x_data[tap], out=out_data)
+
+        def backward(grad):
+            masks = [(x_data[tap] == out_data).astype(x_data.dtype)
+                     for tap in taps]
+            count = np.maximum(sum(masks), 1.0)
+            grad_x = np.zeros_like(x_data)
+            for tap, mask in zip(taps, masks):
+                mask /= count
+                grad_x[tap] += mask * grad
+            x._accumulate(grad_x)
+
+        out = x._make(out_data, (x,), backward)
+        out._backward_reads_output = True
+        return out
 
 
 class GlobalAveragePool(Module):

@@ -33,3 +33,31 @@ def rng():
 def small_video(rng):
     """A tiny synthetic video batch (B=2, T=8, H=16, W=16) in [0, 1]."""
     return rng.random((2, 8, 16, 16))
+
+
+@pytest.fixture
+def reference_maxpool3d():
+    """Reshape-then-max ``MaxPool3d`` formula, the oracle for the tap loop.
+
+    Returns a module class: the (B, C, T, H, W) input is cut to whole
+    windows, viewed as (B, C, T', kt, H', kh, W', kw) and reduced with
+    :meth:`Tensor.max` over the three window axes.
+    """
+    from repro.nn import Module
+    from repro.nn.conv import _triple
+
+    class ReferenceMaxPool3d(Module):
+        def __init__(self, kernel_size):
+            super().__init__()
+            self.kernel_size = _triple(kernel_size)
+
+        def forward(self, x):
+            kt, kh, kw = self.kernel_size
+            batch, channels, frames, height, width = x.shape
+            out_t, out_h, out_w = frames // kt, height // kh, width // kw
+            view = x[:, :, :out_t * kt, :out_h * kh, :out_w * kw]
+            view = view.reshape(batch, channels, out_t, kt, out_h, kh,
+                                out_w, kw)
+            return view.max(axis=(3, 5, 7))
+
+    return ReferenceMaxPool3d

@@ -344,6 +344,55 @@ class TestConv3dIm2colFastPath:
 
 
 # ----------------------------------------------------------------------
+# MaxPool3d tap loop vs the reshape-then-max formula, end to end on c3d
+# ----------------------------------------------------------------------
+class TestC3DMaxPoolEquivalence:
+    @staticmethod
+    def _c3d_pair(dtype, reference_maxpool3d):
+        """Two c3d models from one seed; the second pools with the
+        reshape-then-max reference formula."""
+        models = [build_model("c3d", num_classes=5, image_size=16,
+                              num_frames=8, seed=0).to(dtype)
+                  for _ in range(2)]
+        for name in ("pool1", "pool2", "pool3"):
+            pool = getattr(models[1], name)
+            setattr(models[1], name, reference_maxpool3d(pool.kernel_size))
+        return models
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_c3d_no_grad_logits_match_reference_pooling(
+            self, dtype, rng, reference_maxpool3d):
+        x = _example_input("c3d", rng).astype(dtype)
+        logits = []
+        for model in self._c3d_pair(dtype, reference_maxpool3d):
+            model.eval()
+            with no_grad():
+                logits.append(model(x).data)
+        assert logits[0].dtype == dtype
+        assert np.array_equal(logits[0], logits[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_c3d_training_step_matches_reference_pooling(
+            self, dtype, rng, reference_maxpool3d):
+        """Logits and every parameter gradient of one cross-entropy
+        step are bit-identical with the tap-loop and reference pools."""
+        x = _example_input("c3d", rng).astype(dtype)
+        targets = np.array([0, 1, 2, 3])
+        fast, ref = self._c3d_pair(dtype, reference_maxpool3d)
+        results = []
+        for model in (fast, ref):
+            logits = model(x)
+            nn.functional.cross_entropy(logits, targets).backward()
+            results.append((logits.data, dict(model.named_parameters())))
+        (fast_logits, fast_params), (ref_logits, ref_params) = results
+        assert np.array_equal(fast_logits, ref_logits)
+        assert fast_params.keys() == ref_params.keys()
+        for name, param in fast_params.items():
+            assert param.grad is not None, name
+            assert np.array_equal(param.grad, ref_params[name].grad), name
+
+
+# ----------------------------------------------------------------------
 # dtype-aware CE encode (BatchEncoder / coded_exposure)
 # ----------------------------------------------------------------------
 class TestEncodeDtype:

@@ -201,6 +201,47 @@ class TestConv:
         out = pool(x)
         assert out.shape == (1, 1, 2, 2, 2)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kernel", [(1, 2, 2), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 6, 8), (2, 3, 5, 7, 9)])
+    @pytest.mark.parametrize("channels_last", [False, True])
+    def test_maxpool3d_matches_reshape_max(self, dtype, kernel, shape,
+                                           channels_last, rng,
+                                           reference_maxpool3d):
+        """The tap loop is bit-identical to reshape-then-max: forward
+        values, dtype and strides, and the input gradient, including
+        tied maxima (small integer inputs) and T/H/W the kernel does
+        not divide (those trailing entries get zero gradient)."""
+        batch, channels, frames, height, width = shape
+        if channels_last:
+            # Layout of the Conv3d training output: a transposed view.
+            data = rng.integers(0, 3, (batch, frames, height, width,
+                                       channels)).astype(dtype)
+            data = data.transpose(0, 4, 1, 2, 3)
+        else:
+            data = rng.integers(0, 3, shape).astype(dtype)
+        kt, kh, kw = kernel
+        upstream = rng.standard_normal(
+            (batch, channels, frames // kt, height // kh, width // kw)
+        ).astype(dtype)
+        outs, grads = [], []
+        for pool in (MaxPool3d(kernel), reference_maxpool3d(kernel)):
+            x = Tensor(data, requires_grad=True)
+            out = pool(x)
+            out.backward(upstream)
+            outs.append(out.data)
+            grads.append(x.grad)
+        (fast, ref), (fast_grad, ref_grad) = outs, grads
+        assert fast.dtype == ref.dtype == dtype
+        assert fast.strides == ref.strides
+        assert np.array_equal(fast, ref)
+        assert fast_grad.dtype == ref_grad.dtype == dtype
+        assert fast_grad.strides == ref_grad.strides
+        assert np.array_equal(fast_grad, ref_grad)
+        # Tied maxima share their window's gradient, so more input
+        # entries than windows receive some.
+        assert np.count_nonzero(fast_grad) > fast.size
+
     def test_global_average_pool(self, rng):
         pool = GlobalAveragePool()
         x = Tensor(rng.random((2, 3, 4, 5)))
