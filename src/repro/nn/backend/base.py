@@ -219,12 +219,15 @@ class Backend:
                  stride: Tuple[int, int, int], padding: Tuple[int, int, int],
                  pool: Optional[ColumnBufferPool] = None
                  ) -> Tuple[np.ndarray, Tuple[int, int, int]]:
-        """Unfold (B, C, T, H, W) into (B, out_t*out_h*out_w, C*kt*kh*kw).
+        """Unfold (B, C, T, H, W) into (B, C*kt*kh*kw, out_t*out_h*out_w).
 
-        The column axis is ordered ``(C, kt, kh, kw)``, matching the
-        ``weight.reshape(out_channels, -1)`` layout of ``Conv3d``, so a
-        single GEMM against the reshaped weight computes every temporal
-        output at once.
+        Channel-major columns: the row axis is ordered ``(C, kt, kh, kw)``,
+        matching the ``weight.reshape(out_channels, -1)`` layout of
+        ``Conv3d``, and the column axis ``(out_t, out_h, out_w)``.  One
+        GEMM ``w_mat @ cols`` then yields (B, O, out_t*out_h*out_w), which
+        is already NCTHW after a free reshape.  The innermost axis of the
+        copy is ``out_w``, contiguous in the column buffer (and, at unit
+        stride, in the input too).
         """
         batch, channels, frames, height, width = x.shape
         kt, kh, kw = kernel
@@ -238,22 +241,22 @@ class Backend:
         strides = x.strides
         view = np.lib.stride_tricks.as_strided(
             x,
-            shape=(batch, channels, out_t, out_h, out_w, kt, kh, kw),
-            strides=(strides[0], strides[1], strides[2] * st, strides[3] * sh,
-                     strides[4] * sw, strides[2], strides[3], strides[4]),
+            shape=(batch, channels, kt, kh, kw, out_t, out_h, out_w),
+            strides=(strides[0], strides[1], strides[2], strides[3],
+                     strides[4], strides[2] * st, strides[3] * sh,
+                     strides[4] * sw),
             writeable=False,
         )
-        shape = (batch, out_t * out_h * out_w, channels * kt * kh * kw)
+        shape = (batch, channels * kt * kh * kw, out_t * out_h * out_w)
         out = pool.acquire(shape, x.dtype) if pool is not None else \
             np.empty(shape, dtype=x.dtype)
-        self._copy_cols(
-            out.reshape(batch, out_t, out_h, out_w, channels, kt, kh, kw),
-            view.transpose(0, 2, 3, 4, 1, 5, 6, 7))
+        self._copy_cols(out.reshape(view.shape), view)
         return out, (out_t, out_h, out_w)
 
     def col2im3d(self, cols: np.ndarray, x_shape, kernel, stride,
                  padding) -> np.ndarray:
-        """Adjoint of :meth:`im2col3d`; scatters column gradients back.
+        """Adjoint of :meth:`im2col3d`: scatters channel-major column
+        gradients (B, C*kt*kh*kw, out_t*out_h*out_w) back onto the input.
 
         Scratch is allocated in the gradient dtype (no float64 upcast of
         float32 backward passes), mirroring :meth:`col2im2d`.
@@ -267,7 +270,7 @@ class Backend:
         out_t = (padded.shape[2] - kt) // st + 1
         out_h = (padded.shape[3] - kh) // sh + 1
         out_w = (padded.shape[4] - kw) // sw + 1
-        cols = cols.reshape(batch, out_t, out_h, out_w, channels, kt, kh, kw)
+        cols = cols.reshape(batch, channels, kt, kh, kw, out_t, out_h, out_w)
         self._scatter3d(padded, cols, kernel, stride)
         if pt or ph or pw:
             return padded[:, :, pt:pt + frames, ph:ph + height, pw:pw + width]
@@ -300,13 +303,16 @@ class Backend:
 
     def _scatter3d(self, padded: np.ndarray, cols: np.ndarray, kernel,
                    stride) -> None:
-        """3-D analogue of :meth:`_scatter2d` over (B, ot, oh, ow, C, kt, kh, kw)."""
+        """Accumulate 8-D columns (B, C, kt, kh, kw, ot, oh, ow) into
+        ``padded``: one strided ``+=`` per kernel tap, no transpose.
+
+        Batch rows are independent, so an override may chunk axis 0.
+        """
         kt, kh, kw = kernel
         st, sh, sw = stride
-        out_t, out_h, out_w = cols.shape[1], cols.shape[2], cols.shape[3]
+        out_t, out_h, out_w = cols.shape[5:]
         for t in range(kt):
             for i in range(kh):
                 for j in range(kw):
                     padded[:, :, t:t + st * out_t:st, i:i + sh * out_h:sh,
-                           j:j + sw * out_w:sw] += \
-                        cols[:, :, :, :, :, t, i, j].transpose(0, 4, 1, 2, 3)
+                           j:j + sw * out_w:sw] += cols[:, :, t, i, j]

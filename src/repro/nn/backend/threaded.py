@@ -101,17 +101,23 @@ class ThreadedBackend(Backend):
         lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
         out_shape = lead + (a.shape[-2], b.shape[-1])
         flops = int(np.prod(out_shape, dtype=np.int64)) * int(a.shape[-1])
-        if lead and a.ndim - 2 == len(lead) and a.shape[0] == lead[0]:
-            # Batched GEMM: chunk the batch axis; each 2-D sub-GEMM is
-            # the exact reference computation (bit-identical).
+        slice_a = bool(lead) and a.ndim == len(out_shape) and \
+            a.shape[0] == lead[0]
+        slice_b = bool(lead) and b.ndim == len(out_shape) and \
+            b.shape[0] == lead[0]
+        if slice_a or slice_b:
+            # Batched GEMM: chunk the batch axis of whichever operand
+            # carries it (the other one, e.g. a shared weight, is
+            # broadcast whole); each 2-D sub-GEMM is the exact reference
+            # computation (bit-identical).
             plan = self._plan(lead[0], flops, self.min_parallel_flops)
             if plan is not None:
                 if out is None:
                     out = np.empty(out_shape, dtype=np.result_type(a, b))
-                slice_b = b.ndim == len(out_shape) and b.shape[0] == lead[0]
                 self._run([
                     (lambda s=s: np.matmul(
-                        a[s], b[s] if slice_b else b, out=out[s]))
+                        a[s] if slice_a else a, b[s] if slice_b else b,
+                        out=out[s]))
                     for s in plan])
                 return out
         elif a.ndim == 2 and b.ndim == 2:

@@ -58,20 +58,21 @@ def _im2col3d(x: np.ndarray, kernel: Tuple[int, int, int],
               padding: Tuple[int, int, int],
               pool: Optional["ColumnBufferPool"] = None
               ) -> Tuple[np.ndarray, Tuple[int, int, int]]:
-    """Unfold (B, C, T, H, W) into columns (B, out_t*out_h*out_w, C*kt*kh*kw).
+    """Unfold (B, C, T, H, W) into channel-major columns
+    (B, C*kt*kh*kw, out_t*out_h*out_w).
 
-    The column axis is ordered ``(C, kt, kh, kw)``, matching the
-    ``weight.reshape(out_channels, -1)`` layout of :class:`Conv3d`, so a
-    single GEMM against the reshaped weight computes every temporal
-    output at once — the inference fast path that replaces the
-    per-``out_t`` Python loop (and its per-window copies) of the
-    autodiff forward.  Dispatches to the active compute backend.
+    The row axis is ordered ``(C, kt, kh, kw)``, matching the
+    ``weight.reshape(out_channels, -1)`` layout of :class:`Conv3d`, so
+    one GEMM ``w_mat @ cols`` computes every output position at once and
+    lands in (B, O, out_t*out_h*out_w), already NCTHW after a reshape.
+    Dispatches to the active compute backend.
     """
     return get_backend().im2col3d(x, kernel, stride, padding, pool=pool)
 
 
 def _col2im3d(cols: np.ndarray, x_shape, kernel, stride, padding) -> np.ndarray:
-    """Adjoint of :func:`_im2col3d`; scatters column gradients back."""
+    """Adjoint of :func:`_im2col3d`; scatters channel-major column
+    gradients (B, C*kt*kh*kw, out_t*out_h*out_w) back onto the input."""
     return get_backend().col2im3d(cols, x_shape, kernel, stride, padding)
 
 
@@ -142,10 +143,15 @@ class Conv2d(Module):
 class Conv3d(Module):
     """3-D convolution over inputs of shape (B, C, T, H, W).
 
-    Both modes run a 3-D im2col + GEMM: training unfolds once (the
-    column matrix must survive for the backward anyway, and is recycled
-    through the buffer pool across steps); the graph-free inference
-    path chunks the unfold over temporal outputs to bound peak memory.
+    Both modes run the same channel-major 3-D im2col and the same GEMM
+    ``w_mat @ cols`` (``w_mat`` is the weight as (O, C*kt*kh*kw), ``cols``
+    is (B, C*kt*kh*kw, L) with ``L = out_t*out_h*out_w``), whose (B, O, L)
+    result is the NCTHW output after a free reshape.  Training unfolds
+    once (the column matrix must survive for the backward anyway, and is
+    recycled through the buffer pool across steps); the graph-free
+    inference path chunks the unfold over temporal outputs to bound peak
+    memory.  A single-chunk inference forward is therefore bit-identical
+    to the training forward.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size,
@@ -173,34 +179,31 @@ class Conv3d(Module):
             return Tensor(self._forward_fast(x_data))
 
         # Training forward: one 3-D im2col (recycled through the column
-        # pool across steps) and a single GEMM over every temporal
-        # output, replacing the historical per-out_t loop that retained
-        # a separate column matrix per temporal slot for the backward.
+        # pool across steps) and a single GEMM over every output position.
         pool = self._col_pool
         backend = get_backend()
         cols, (out_t, out_h, out_w) = backend.im2col3d(
             x_data, self.kernel_size, self.stride, self.padding, pool=pool)
         w_mat = weight.data.reshape(self.out_channels, -1)  # (O, C*kt*kh*kw)
-        out_data = backend.matmul(cols, w_mat.T)  # (B, L, O)
+        out_data = backend.matmul(w_mat, cols)  # (B, O, L)
         if bias is not None:
-            out_data += bias.data
-        out_data = out_data.transpose(0, 2, 1).reshape(
-            batch, self.out_channels, out_t, out_h, out_w)
+            out_data += bias.data[:, None]
+        out_data = out_data.reshape(batch, self.out_channels, out_t, out_h,
+                                    out_w)
 
         x_shape = x_data.shape
         kernel, stride, padding = self.kernel_size, self.stride, self.padding
         module = self
 
         def backward(grad):
-            grad_mat = grad.reshape(batch, module.out_channels, -1)
-            grad_mat = grad_mat.transpose(0, 2, 1)  # (B, L, O)
+            grad_mat = grad.reshape(batch, module.out_channels, -1)  # (B, O, L)
             if weight.requires_grad:
-                grad_w = np.einsum("blo,blk->ok", grad_mat, cols)
+                grad_w = np.einsum("bol,bkl->ok", grad_mat, cols)
                 weight._accumulate(grad_w.reshape(weight.shape))
             if bias is not None and bias.requires_grad:
-                bias._accumulate(grad_mat.sum(axis=(0, 1)))
+                bias._accumulate(grad_mat.sum(axis=(0, 2)))
             if x.requires_grad:
-                grad_cols = backend.matmul(grad_mat, w_mat)
+                grad_cols = backend.matmul(w_mat.T, grad_mat)  # (B, K, L)
                 x._accumulate(backend.col2im3d(grad_cols, x_shape, kernel,
                                                stride, padding))
             pool.release(cols)
@@ -219,11 +222,11 @@ class Conv3d(Module):
 
         Temporal outputs are unfolded in chunks sized to
         ``_FAST_COLS_BUDGET`` so the column buffer (freed immediately,
-        never captured by a closure) has bounded peak memory; small
-        inputs take a single GEMM over every temporal output, replacing
-        the per-``out_t`` Python loop (and its per-window copies) of the
-        autodiff forward.  The input dtype is preserved (float32 stays
-        float32).
+        never captured by a closure) has bounded peak memory.  Each
+        chunk's GEMM writes straight into its slice of the (B, O, L)
+        output, so small inputs take one GEMM with the exact operands of
+        the training forward.  The input dtype is preserved (float32
+        stays float32).
         """
         kt, kh, kw = self.kernel_size
         st, sh, sw = self.stride
@@ -236,28 +239,25 @@ class Conv3d(Module):
         out_t = (x_pad.shape[2] - kt) // st + 1
         out_h = (height + 2 * ph - kh) // sh + 1
         out_w = (width + 2 * pw - kw) // sw + 1
-        per_t = batch * out_h * out_w * channels * kt * kh * kw
+        plane = out_h * out_w
+        per_t = batch * plane * channels * kt * kh * kw
         chunk_t = max(1, min(out_t, self._FAST_COLS_BUDGET // max(per_t, 1)))
-        w_mat_t = self.weight.data.reshape(self.out_channels, -1).T
-        bias_data = self.bias.data if self.bias is not None else None
+        w_mat = self.weight.data.reshape(self.out_channels, -1)
+        bias_col = self.bias.data[:, None] if self.bias is not None else None
         backend = get_backend()
-        out_data = None
+        out_data = np.empty((batch, self.out_channels, out_t * plane),
+                            dtype=np.result_type(x_data, w_mat))
         for t0 in range(0, out_t, chunk_t):
             t1 = min(t0 + chunk_t, out_t)
             window = x_pad[:, :, t0 * st:(t1 - 1) * st + kt]
             cols, _ = backend.im2col3d(window, (kt, kh, kw), (st, sh, sw),
                                        (0, ph, pw), pool=self._col_pool)
-            out = backend.matmul(cols, w_mat_t)
+            out = out_data[:, :, t0 * plane:t1 * plane]
+            backend.matmul(w_mat, cols, out=out)
             self._col_pool.release(cols)
-            if bias_data is not None:
-                out += bias_data
-            if out_data is None:
-                out_data = np.empty(
-                    (batch, self.out_channels, out_t, out_h, out_w),
-                    dtype=out.dtype)
-            out_data[:, :, t0:t1] = out.transpose(0, 2, 1).reshape(
-                batch, self.out_channels, t1 - t0, out_h, out_w)
-        return out_data
+            if bias_col is not None:
+                out += bias_col
+        return out_data.reshape(batch, self.out_channels, out_t, out_h, out_w)
 
 
 class AvgPool2d(Module):
@@ -292,7 +292,7 @@ class MaxPool3d(Module):
     receives ``(mask / count) * grad``.
 
     The first tap is copied with ``order="K"`` so the output keeps the
-    input's memory layout (the training Conv3d output is channels-last).
+    input's memory layout (for example a channels-last input).
     Downstream reductions such as :class:`GlobalAveragePool` sum in a
     layout-dependent order, so a C-ordered copy would move the logits
     and gradients in the last bits.

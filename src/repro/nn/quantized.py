@@ -684,9 +684,10 @@ class QuantizedConv3d(_QuantizedModule):
     """Int8 3-D convolution with the temporal-chunked im2col fast path.
 
     Mirrors :meth:`Conv3d._forward_fast`: the (already quantised) input
-    unfolds in chunks bounded by the same column budget, each chunk runs
-    one widened GEMM, and dequantisation + bias happen on the chunk
-    output before it lands in the result buffer.
+    unfolds into channel-major columns in chunks bounded by the same
+    column budget, each chunk runs one widened GEMM ``w_mat @ cols``
+    straight into its slice of the (B, O, L) result, and dequantisation
+    + bias are applied per output channel on that slice.
     """
 
     _FAST_COLS_BUDGET = Conv3d._FAST_COLS_BUDGET
@@ -726,27 +727,29 @@ class QuantizedConv3d(_QuantizedModule):
         out_t = (x_pad.shape[2] - kt) // st + 1
         out_h = (height + 2 * ph - kh) // sh + 1
         out_w = (width + 2 * pw - kw) // sw + 1
-        per_t = batch * out_h * out_w * channels * kt * kh * kw
+        plane = out_h * out_w
+        per_t = batch * plane * channels * kt * kh * kw
         chunk_t = max(1, min(out_t, self._FAST_COLS_BUDGET // max(per_t, 1)))
         w_mat_t, dequant = self._runtime()
-        bias_data = self.bias.data if self.bias is not None else None
-        out_data = np.empty((batch, self.out_channels, out_t, out_h, out_w),
+        dequant = dequant[:, None]
+        bias_col = self.bias.data[:, None] if self.bias is not None else None
+        out_data = np.empty((batch, self.out_channels, out_t * plane),
                             dtype=np.float32)
         for t0 in range(0, out_t, chunk_t):
             t1 = min(t0 + chunk_t, out_t)
             window = x_pad[:, :, t0 * st:(t1 - 1) * st + kt]
             cols, _ = _im2col3d(window, (kt, kh, kw), (st, sh, sw),
                                 (0, ph, pw), pool=self._pool)
-            out = get_backend().matmul(cols, w_mat_t)  # (B, L, O)
+            out = out_data[:, :, t0 * plane:t1 * plane]
+            get_backend().matmul(w_mat_t.T, cols, out=out)  # (B, O, L)
             self._pool.release(cols)
             out *= dequant
-            if bias_data is not None:
-                out += bias_data
-            out_data[:, :, t0:t1] = out.transpose(0, 2, 1).reshape(
-                batch, self.out_channels, t1 - t0, out_h, out_w)
+            if bias_col is not None:
+                out += bias_col
         if not pt:
             self._pool.release(grid)
-        return Tensor(out_data)
+        return Tensor(out_data.reshape(batch, self.out_channels, out_t,
+                                       out_h, out_w))
 
 
 # ----------------------------------------------------------------------

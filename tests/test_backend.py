@@ -229,6 +229,10 @@ class TestThreadedOpBitIdentity:
         w = rng.normal(size=(6, 4))
         np.testing.assert_array_equal(threaded.matmul(a, w),
                                       self.reference.matmul(a, w))
+        # Broadcast left operand (weight @ channel-major conv columns).
+        w_left = rng.normal(size=(3, 5))
+        np.testing.assert_array_equal(threaded.matmul(w_left, a),
+                                      self.reference.matmul(w_left, a))
 
     def test_2d_matmul_tolerance_class(self, rng):
         threaded = forced_threaded()
