@@ -265,7 +265,6 @@ class DefectiveSensor:
 
     def _integrate(self, videos: np.ndarray) -> np.ndarray:
         if self._hardware is not None:
-            videos = np.asarray(videos, dtype=np.float64)
             if videos.ndim == 3:
                 return self._hardware.capture(videos)
             return self._hardware.capture_batch(videos)

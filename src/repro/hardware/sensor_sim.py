@@ -10,14 +10,22 @@ Two simulators implement the per-slot control protocol of the paper:
 5. assert *pattern transfer* (CE bit 1 -> PD charge moves onto the FD),
 6. power-gate the DFFs until the next slot.
 
-:class:`StackedCESensor` is the production simulator: the photodiode /
-floating-diffusion / DFF state of the whole array is held in ``(H, W)``
-NumPy arrays and each protocol phase is one vectorised update, so a
-capture costs a handful of array ops per slot instead of ``H x W``
-Python method calls.  :class:`PixelArraySensor` is the original
-one-object-per-pixel reference implementation (kept for protocol-level
-unit testing and as the oracle the vectorised sensor is checked against
-bit-for-bit — same readout charges, same :class:`CaptureStats`).
+The charge a pixel transfers in a slot is exactly that slot's light:
+its PD was reset (step 2) just before the exposure (step 3), and both
+gates read the same bit.  Charge collected in a slot whose bit is clear
+never reaches the FD, because the pixel's next selected slot resets the
+PD before exposing it (and readout discards what is left).  So the
+readout is the slot-order sum of the gated light, which is exactly
+Eqn. 1.
+
+:class:`StackedCESensor` is the production simulator: it holds only the
+floating-diffusion charge of the whole array (plus the DFF state) in
+NumPy arrays and adds each slot's gated light in one vectorised update,
+while its activity counters still follow every protocol phase.
+:class:`PixelArraySensor` is the original one-object-per-pixel
+reference implementation (kept for protocol-level unit testing and as
+the oracle the vectorised sensor is checked against bit-for-bit — same
+readout charges, same :class:`CaptureStats`).
 
 After all ``T`` slots, a single read-out produces the coded image.  The
 simulation exists to verify that this hardware protocol computes exactly
@@ -69,12 +77,18 @@ def _validate_pattern(config: CEConfig, tile_pattern: np.ndarray) -> np.ndarray:
 class StackedCESensor:
     """Vectorised pixel-array simulator of the stacked CE sensor.
 
-    The protocol semantics (and the resulting charges and activity
-    counters) are identical to :class:`PixelArraySensor`; only the state
-    representation differs: per-pixel scalars become ``(H, W)`` arrays
-    and each control phase is a masked array update applied in the same
-    slot order, so every floating-point addition happens in the same
-    sequence as in the object-based simulator.
+    The readout charges and activity counters are identical to
+    :class:`PixelArraySensor`'s.  Only the transferred charge is
+    simulated: a selected pixel's PD is reset right before it exposes, so
+    its transfer onto the FD is exactly the slot's light, and charge of
+    an unselected slot is reset away before it could reach the FD.  The
+    photodiode array therefore drops out and each slot is one gated add
+    ``fd += where(bits, light, 0.0)``, in the same slot order as the
+    object-based simulator.  Adding ``+0.0`` leaves every FD value
+    unchanged (the FD starts at ``+0.0``, so it is never ``-0.0``) and
+    ``0.0 + v == v``, so every FD value goes through the same sequence
+    of floating-point additions, NaN/Inf and overflow included.  The
+    DFF state and the counters still advance phase by phase.
     """
 
     def __init__(self, config: CEConfig, tile_pattern: np.ndarray):
@@ -85,8 +99,8 @@ class StackedCESensor:
         self._mask = expand_tile_pattern(
             self.tile_pattern, height, width).astype(bool)
         self._ones_per_slot = self._mask.reshape(config.num_slots, -1).sum(axis=1)
-        # DFF pattern state; photodiode / floating-diffusion charge is
-        # held per capture (with a leading batch axis) in capture_batch.
+        # DFF pattern state; floating-diffusion charge is held per
+        # capture (with a leading batch axis) in capture_batch.
         self._dff = np.zeros((height, width), dtype=np.int8)
         self._dff_powered = False
         # Aggregate activity counters (CaptureStats semantics).
@@ -119,7 +133,7 @@ class StackedCESensor:
         protocol exists exactly once; the per-pixel float operations
         (and therefore the readout charges and counters) are identical.
         """
-        video = np.asarray(video, dtype=np.float64)
+        video = np.asarray(video)
         expected = (self.config.num_slots, self.config.frame_height,
                     self.config.frame_width)
         if video.shape != expected:
@@ -130,16 +144,22 @@ class StackedCESensor:
     def capture_batch(self, videos: np.ndarray) -> np.ndarray:
         """Run the per-slot protocol on a ``(B, T, H, W)`` clip batch at once.
 
-        Simulates ``B`` independent captures in parallel: the photodiode
-        and floating-diffusion state gains a leading batch axis, every
-        protocol phase is one batched array update, and the activity
-        counters advance exactly as ``B`` sequential :meth:`capture`
-        calls would (each in-flight capture streams its own pattern).
-        The returned ``(B, H, W)`` coded images are bit-identical to
-        stacking per-clip :meth:`capture` results — this is the
-        ``"hardware"`` capture mode of the serving path.
+        Simulates ``B`` independent captures in parallel: the
+        floating-diffusion state gains a leading batch axis and each
+        slot adds its transferred charge, ``where(bits, videos[:, slot],
+        0.0)``, in one batched update (a selected PD is reset just before
+        it exposes, so it hands over exactly the slot's light).  The
+        activity counters advance exactly as ``B`` sequential
+        :meth:`capture` calls would: each in-flight capture streams its
+        own pattern twice per slot and resets and transfers its selected
+        pixels.  ``np.where`` casts the light to float64 exactly while it
+        gates (uint8, float32, ... clips), so no float64 copy of the
+        batch is made up front.  The returned ``(B, H, W)`` coded images
+        are bit-identical to stacking per-clip :meth:`capture` results
+        and to :class:`PixelArraySensor` — this is the ``"hardware"``
+        capture mode of the serving path.
         """
-        videos = np.asarray(videos, dtype=np.float64)
+        videos = np.asarray(videos)
         expected = (self.config.num_slots, self.config.frame_height,
                     self.config.frame_width)
         if videos.ndim != 4 or videos.shape[1:] != expected:
@@ -153,23 +173,19 @@ class StackedCESensor:
 
         height, width = expected[1:]
         pixels = height * width
-        pd = np.zeros((batch, height, width))
         fd = np.zeros((batch, height, width))
         for slot in range(self.config.num_slots):
             bits = self._mask[slot]
-            ones = int(self._ones_per_slot[slot])
+            ones = int(self._ones_per_slot[slot]) * batch
             # Phase 1: stream the pattern in and reset selected PDs.
             self._stream_in(bits, pixels * batch)
-            pd[:, bits] = 0.0
-            self._pd_resets += ones * batch
+            self._pd_resets += ones
             self._power_gate()
-            # Phase 2: exposure — every pixel integrates its incident light.
-            pd += videos[:, slot]
-            # Phase 3: stream the pattern again and transfer selected charges.
+            # Phases 2-3: expose, stream the pattern again and transfer:
+            # a selected PD hands over exactly this slot's light.
             self._stream_in(bits, pixels * batch)
-            fd[:, bits] += pd[:, bits]
-            pd[:, bits] = 0.0
-            self._charge_transfers += ones * batch
+            fd += np.where(bits, videos[:, slot], 0.0)
+            self._charge_transfers += ones
             self._power_gate()
         self._pixels_read += pixels * batch
         return fd

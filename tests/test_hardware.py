@@ -17,6 +17,7 @@ from repro.hardware import (
     CE_LOGIC_AREA_22NM_UM2,
     CE_LOGIC_AREA_65NM_UM2,
     CEPixel,
+    PixelArraySensor,
     SHIFT_REGISTER_WIRES,
     StackedCESensor,
     TilePatternShiftRegister,
@@ -202,6 +203,84 @@ class TestStackedCESensor:
         video = rng.random((slots, 4, 4))
         assert np.allclose(sensor.capture(video),
                            coded_exposure(video, expand_tile_pattern(pattern, 4, 4)))
+
+
+class TestStackedMatchesPixelArrayOracle:
+    """Adversarial clips through the batched simulator vs the per-pixel oracle.
+
+    The batched simulator adds only each slot's gated light to the FD;
+    the oracle runs every reset / exposure / transfer on every pixel.
+    They agree bit-for-bit only if light of an unselected slot never
+    reaches the FD and a selected PD hands over exactly the slot's light,
+    so non-finite and overflowing charge in both kinds of slot, signed
+    zeros and non-float64 clips are the inputs that could tell them apart.
+    """
+
+    SLOTS, TILE, SIZE, BATCH = 4, 2, 4, 3
+
+    def _pattern(self):
+        # Tile pixel 0 always open, 1 and 2 alternate (pixel 1 starts
+        # closed, so its PD collects light before its first reset) and
+        # pixel 3 is never open (none of its charge reaches the FD).
+        pattern = np.zeros((self.SLOTS, self.TILE, self.TILE), dtype=int)
+        for slot in range(self.SLOTS):
+            pattern[slot] = [[1, slot % 2], [1 - slot % 2, 0]]
+        return pattern
+
+    def _mask(self):
+        return expand_tile_pattern(self._pattern(), self.SIZE,
+                                   self.SIZE).astype(bool)
+
+    def _spike(self, videos, rng, exposed, value, count=3):
+        """Write ``value`` into ``count`` random (slot, pixel) cells per
+        clip, all in open (``exposed``) or all in closed slots."""
+        cells = np.argwhere(self._mask() == exposed)
+        for clip in videos:
+            for t, i, j in cells[rng.choice(len(cells), count, replace=False)]:
+                clip[t, i, j] = value
+        return videos
+
+    def _clips(self, case, rng):
+        shape = (self.BATCH, self.SLOTS, self.SIZE, self.SIZE)
+        if case == "uint8":
+            return rng.integers(0, 256, size=shape, dtype=np.uint8)
+        if case == "float32":
+            # Pixel (0, 0) is open in every slot: its charge overflows a
+            # float32 accumulator but not the float64 FD.
+            videos = rng.random(shape, dtype=np.float32)
+            videos[:, :, 0, 0] = np.float32(3e38)
+            return videos
+        videos = rng.random(shape)
+        if case == "nonfinite":
+            for exposed in (True, False):
+                self._spike(videos, rng, exposed, np.inf)
+                self._spike(videos, rng, exposed, np.nan)
+        elif case == "negative_zero":
+            videos[0] = -0.0
+            videos[1, 2] = -0.0
+        elif case == "overflow":
+            for exposed in (True, False):
+                self._spike(videos, rng, exposed, 1e308, count=6)
+        return videos
+
+    @pytest.mark.parametrize(
+        "case", ["nonfinite", "negative_zero", "overflow", "uint8", "float32"])
+    def test_batch_matches_pixel_array_bitwise(self, case, rng):
+        config = CEConfig(num_slots=self.SLOTS, tile_size=self.TILE,
+                          frame_height=self.SIZE, frame_width=self.SIZE)
+        videos = self._clips(case, rng)
+        stacked = StackedCESensor(config, self._pattern())
+        oracle = PixelArraySensor(config, self._pattern())
+        with np.errstate(over="ignore"):
+            batched = stacked.capture_batch(videos)
+        reference = np.stack([oracle.capture(video) for video in videos])
+        assert batched.dtype == reference.dtype == np.float64
+        assert np.array_equal(batched, reference, equal_nan=True)
+        assert np.array_equal(np.signbit(batched), np.signbit(reference))
+        assert stacked.capture_stats() == oracle.capture_stats()
+        if case in ("nonfinite", "overflow"):
+            # The clips must really carry non-finite charge into the FD.
+            assert not np.isfinite(batched).all()
 
 
 class TestAreaModel:

@@ -21,6 +21,7 @@ from repro.hardware import StackedCESensor
 from repro.runtime import BatchEncoder
 from repro.serving import (
     BatcherClosed,
+    BundleExecutor,
     InferenceServer,
     InvalidRequest,
     MicroBatcher,
@@ -33,6 +34,7 @@ from repro.serving import (
     generate_clips,
     load_servable,
     poison_clips,
+    quantize_bundle,
     run_fault_injection,
     run_load_test,
     save_servable,
@@ -435,6 +437,22 @@ class TestInferenceServer:
         for a, b in zip(hw, op):
             np.testing.assert_allclose(a.logits, b.logits, rtol=1e-4,
                                        atol=1e-5)
+
+    def test_int8_hardware_capture_matches_operator_bitwise(self):
+        # The int8 bundle serves raw integer charge sums: the simulator
+        # accumulates uint8 light exactly in float64 and the operator
+        # sums it in integers, so both paths feed the model the same
+        # integers and must give the same logits bit-for-bit.
+        bundle = quantize_bundle(
+            fresh_bundle("snappix_s", num_classes=6, image_size=16,
+                         num_frames=16, seed=0), seed=0)
+        assert bundle.integer_input
+        clips = list(generate_clips(6, 16, 16, seed=9, integer=True))
+        hw = BundleExecutor(bundle, "hardware").run_batch(clips)
+        op = BundleExecutor(bundle, "operator").run_batch(clips)
+        assert [p.label for p in hw] == [p.label for p in op]
+        for a, b in zip(hw, op):
+            assert np.array_equal(a.logits, b.logits)
 
     def test_invalid_clip_shape_raises_at_submit(self, ce_bundle):
         with InferenceServer(ce_bundle, max_batch_size=2) as server:
